@@ -1,6 +1,6 @@
 # Convenience targets; all assume the package is installed (see README).
 
-.PHONY: test check check-update-golden bench bench-fast bench-batch bench-crowd bench-backend smoke-telemetry validate calibrate examples all
+.PHONY: test check check-update-golden bench bench-fast bench-batch bench-crowd bench-backend perfbench smoke-telemetry validate calibrate examples all
 
 test:
 	pytest tests/
@@ -38,6 +38,12 @@ bench-crowd:
 # the shared-memory backend; writes BENCH_backend.json.
 bench-backend:
 	pytest benchmarks/test_perf_backend.py -q -s
+
+# The repo benchmark on the streamed crowd, untraced end-to-end metrics
+# (users/s, wall, RSS); the run record lands in perfbench/out/.  Other
+# workloads: python3 perfbench/run.py --workload all (see BENCHMARK.json).
+perfbench:
+	python3 perfbench/run.py --workload crowd_stream --seed 1 --trace 0
 
 # Live-telemetry smoke: a streamed crowd run scraped over HTTP mid-run;
 # asserts advancing /status, parseable /metrics, round-tripping manifest.

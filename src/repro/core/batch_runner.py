@@ -182,6 +182,11 @@ def run_batch(
             cooldown_s, energy_j, completed = run_batch_iteration(
                 world, bench, experiment, registry
             )
+            # A fleet campaign has no drops: a unit whose supply failed
+            # aborts it, as it would on the serial path.
+            for failure in world.failures:
+                if failure is not None:
+                    raise failure
             looped_total += int(world.looped_steps.sum())
             if registry.enabled:
                 # Iteration-boundary cursor for the live /status endpoint:
@@ -194,8 +199,9 @@ def run_batch(
                         looped_total / elapsed
                     )
 
+            traces = world.traces
             for i, device in enumerate(devices):
-                trace = world.traces[i]
+                trace = traces[i]
                 results[i].append(
                     IterationResult(
                         model=device.spec.name,

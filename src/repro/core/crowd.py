@@ -29,7 +29,7 @@ of users.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from repro.core.protocol import Accubench
 from repro.device.battery import Battery
 from repro.device.fleet import synthetic_fleet
 from repro.device.phone import Device
-from repro.errors import AnalysisError, ConfigurationError
+from repro.errors import AnalysisError, BatteryError, ConfigurationError
 from repro.obs.metrics import default_registry
 from repro.rng import DEFAULT_ROOT_SEED, derive_stream
 from repro.thermal.ambient import ConstantAmbient
@@ -269,6 +269,47 @@ def prepare_field_device(device: Device, user: UserSample) -> None:
     )
 
 
+def run_crowd_user(
+    config: CrowdConfig, bench: Accubench, device: Device, user: UserSample
+) -> Union[Submission, str]:
+    """One participant through the serial pipeline: the upload, or why not.
+
+    The user drops when the cooldown probe yields no usable estimate
+    (:func:`probe_drop_reason`) or when the battery cannot deliver the
+    phone's load at some step (:class:`BatteryError`'s reason); a user
+    whose probe already failed never runs the benchmark.
+    """
+    prepare_field_device(device, user)
+    room = ConstantAmbient(user.ambient_c)
+    try:
+        estimate = cooldown_probe(
+            device,
+            room,
+            heat_s=config.probe_heat_s,
+            observe_s=config.probe_observe_s,
+            dt=config.protocol.dt,
+        )
+    except AnalysisError as error:
+        # An unusable decay (e.g. someone's balcony in the wind); the app
+        # uploads nothing — but the study should know how much of its
+        # population it lost, and to what.
+        return probe_drop_reason(error)
+    except BatteryError as error:
+        return error.reason
+    try:
+        result = bench.run_iteration(device, unconstrained(), room=room)
+    except BatteryError as error:
+        return error.reason
+    return Submission(
+        serial=device.serial,
+        score=result.iterations_completed,
+        energy_j=result.energy_j,
+        ambient_estimate=estimate,
+        true_ambient_c=user.ambient_c,
+        true_leak_factor=device.profile.leak_factor,
+    )
+
+
 def probe_drop_reason(error: AnalysisError) -> str:
     """Classify why a cooldown probe produced no usable estimate.
 
@@ -303,7 +344,7 @@ class CrowdStudyResult(Sequence):
         users: Optional[int] = None,
     ) -> None:
         self.submissions: Tuple[Submission, ...] = tuple(submissions)
-        #: Users whose probe produced nothing, keyed by drop reason.
+        #: Users who uploaded nothing, keyed by drop reason.
         self.dropped: Dict[str, int] = dict(dropped or {})
         #: Participants simulated (submissions + drops).
         self.users = (
@@ -350,35 +391,12 @@ def run_crowd_study(config: Optional[CrowdConfig] = None) -> CrowdStudyResult:
     submissions = []
     dropped: Dict[str, int] = {}
     for device, user in zip(fleet, users):
-        prepare_field_device(device, user)
-        room = ConstantAmbient(user.ambient_c)
-        try:
-            estimate = cooldown_probe(
-                device,
-                room,
-                heat_s=config.probe_heat_s,
-                observe_s=config.probe_observe_s,
-                dt=config.protocol.dt,
-            )
-        except AnalysisError as error:
-            # An unusable decay (e.g. someone's balcony in the wind);
-            # the app uploads nothing — but the study should know how
-            # much of its population it lost, and to what.
-            reason = probe_drop_reason(error)
-            dropped[reason] = dropped.get(reason, 0) + 1
-            registry.counter(f"crowd.dropped.{reason}").inc()
+        outcome = run_crowd_user(config, bench, device, user)
+        if isinstance(outcome, str):
+            dropped[outcome] = dropped.get(outcome, 0) + 1
+            registry.counter(f"crowd.dropped.{outcome}").inc()
             continue
-        result = bench.run_iteration(device, unconstrained(), room=room)
-        submissions.append(
-            Submission(
-                serial=device.serial,
-                score=result.iterations_completed,
-                energy_j=result.energy_j,
-                ambient_estimate=estimate,
-                true_ambient_c=user.ambient_c,
-                true_leak_factor=device.profile.leak_factor,
-            )
-        )
+        submissions.append(outcome)
     registry.counter("crowd.users").add(config.user_count)
     registry.counter("crowd.submissions").add(len(submissions))
     return CrowdStudyResult(

@@ -143,12 +143,13 @@ def execute_cohort(
     """Run one cohort's probe + field ACCUBENCH pass through a BatchedWorld.
 
     Mirrors the serial per-user pipeline in
-    :func:`repro.core.crowd.run_crowd_study` — reboot-and-soak, battery,
+    :func:`repro.core.crowd.run_crowd_user` — reboot-and-soak, battery,
     heat/observe probe, then one protocol iteration — with every per-unit
     random draw taken from the same streams in the same order.  Users
-    whose probe fit fails become drops (their unit still rides along in
-    the lock-step world; its results are simply discarded, and its
-    streams are independent of every other unit's).
+    whose probe fit fails, or whose battery cannot deliver their load,
+    become drops with the serial pipeline's reason (their unit still rides
+    along in the lock-step world; its results are simply discarded, and
+    its streams are independent of every other unit's).
     """
     users = tuple(users)
     if not users:
@@ -195,8 +196,14 @@ def execute_cohort(
             readings.append(world.read_sensors())
         temps = np.stack(readings, axis=0)
 
+        # The serial pipeline stops a user at the first failure: a battery
+        # failure in the probe, then a failed fit, then a battery failure
+        # in the benchmark pass.  A string estimate is that drop reason.
         estimates: List[Any] = []
-        for column in range(len(users)):
+        for column, failure in enumerate(world.failures):
+            if failure is not None:
+                estimates.append(failure.reason)
+                continue
             try:
                 estimates.append(
                     estimate_ambient(
@@ -212,6 +219,9 @@ def execute_cohort(
             world, bench, unconstrained(), registry
         )
         world.finalize()
+        for i, failure in enumerate(world.failures):
+            if failure is not None and not isinstance(estimates[i], str):
+                estimates[i] = failure.reason
 
     outcomes = []
     for i, (user, device) in enumerate(zip(users, devices)):
@@ -484,13 +494,31 @@ def write_checkpoint(
     tmp = f"{path}.tmp"
     with open(tmp, "w") as fp:
         json.dump(document, fp)
+        # On disk before the rename, so a crash never leaves a checkpoint
+        # name pointing at unwritten data.
+        fp.flush()
+        os.fsync(fp.fileno())
     os.replace(tmp, path)
 
 
 def load_checkpoint(path: str, fingerprint: str) -> Dict[str, Any]:
-    """Load and validate a checkpoint written by :func:`write_checkpoint`."""
-    with open(path) as fp:
-        document = json.load(fp)
+    """Load and validate a checkpoint written by :func:`write_checkpoint`.
+
+    Raises :class:`ConfigurationError` naming ``path`` when the file is
+    truncated, is not JSON, is not a JSON object, or belongs to another
+    campaign.
+    """
+    try:
+        with open(path) as fp:
+            document = json.load(fp)
+    except ValueError as error:  # JSONDecodeError, or bytes that are not text
+        raise ConfigurationError(
+            f"checkpoint {path} is truncated or not JSON ({error})"
+        ) from error
+    if not isinstance(document, dict):
+        raise ConfigurationError(
+            f"checkpoint {path} is not a checkpoint object"
+        )
     if document.get("format") != CHECKPOINT_FORMAT:
         raise ConfigurationError(
             f"{path} is not a {CHECKPOINT_FORMAT} checkpoint"

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Tuple
 
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import BatteryError, ConfigurationError, SimulationError
 from repro.units import mwh_to_joules
 
 
@@ -114,7 +114,7 @@ class Battery:
         if dt <= 0:
             raise SimulationError("dt must be positive")
         if self._soc <= 0.0:
-            raise SimulationError("battery is empty")
+            raise BatteryError("battery_empty", "battery is empty")
         voltage = self._terminal_voltage(power_w)
         current = power_w / voltage if voltage > 0 else 0.0
         self._last_load_w = power_w
@@ -129,7 +129,8 @@ class Battery:
             return ocv
         discriminant = ocv * ocv - 4.0 * power_w * r
         if discriminant <= 0:
-            raise SimulationError(
-                f"load {power_w} W exceeds what the battery can deliver"
+            raise BatteryError(
+                "battery_overload",
+                f"load {power_w} W exceeds what the battery can deliver",
             )
         return 0.5 * (ocv + math.sqrt(discriminant))

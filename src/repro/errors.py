@@ -20,6 +20,19 @@ class SimulationError(ReproError):
     """The simulation reached an invalid or inconsistent state."""
 
 
+class BatteryError(SimulationError):
+    """A battery could not deliver a draw.
+
+    ``reason`` is a stable label: ``"battery_overload"`` when the load
+    exceeds what the cell can deliver, ``"battery_empty"`` when no charge
+    is left.  Crowd campaigns count it as that user's drop reason.
+    """
+
+    def __init__(self, reason: str, message: str) -> None:
+        super().__init__(message)
+        self.reason = reason
+
+
 class CalibrationError(ReproError):
     """A calibrated model failed to satisfy its declared constraints."""
 

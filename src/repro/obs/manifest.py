@@ -219,6 +219,8 @@ def write_manifest(
     with tmp.open("w") as fp:
         json.dump(document, fp, indent=2, sort_keys=True)
         fp.write("\n")
+        fp.flush()
+        os.fsync(fp.fileno())
     os.replace(tmp, target)
     return target
 

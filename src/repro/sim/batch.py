@@ -32,6 +32,32 @@ a GEMM where the serial path runs per-unit GEMVs, and per-core power sums
 collapse behind BLAS summation order.  ``repro.check``'s ``BATCH_SPEC``
 pairing budget covers exactly that.
 
+RNG look-ahead
+--------------
+The OS and sensor streams only ever serve ``Generator.normal(loc, scale)``,
+which numpy evaluates as ``loc + scale * z`` from one standard normal
+``z``.  Each cohort therefore draws every unit's ``z`` values ahead in
+blocks (:class:`_NormalBank`) and applies ``loc + scale * z`` across the
+cohort in one vector operation.  While a block is in flight the generators
+run ahead of the serial engine; :meth:`_CohortWorld.finalize` rewinds each
+one to where the same draws taken one at a time would have left it.
+Nothing may draw from those two streams by any other route between
+construction and ``finalize``.
+
+Traces
+------
+Decimated trace rows go into one ``(units, rows, channels + 1)`` array per
+cohort (:class:`_TraceStore`); per-unit :class:`Trace` objects are built,
+as copies, only when ``traces`` is read.  A campaign that never reads them
+(the streamed crowd) never pays for them.
+
+Supply failures
+---------------
+A battery that cannot deliver a unit's draw does not abort the batch: the
+unit is marked failed (``failures``), stops drawing and dissipating, and
+rides along untouched by the other units.  The caller decides whether
+that is a dropped user or an error.
+
 Divergence handling
 -------------------
 Units stay in one cohort while they share control flow.  During cooldown,
@@ -44,18 +70,192 @@ observability layer.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.device.battery import Battery
 from repro.device.phone import Device
-from repro.errors import SimulationError
+from repro.errors import BatteryError, ConfigurationError, SimulationError
 from repro.instruments.thermabox import BatchedThermabox
 from repro.sim.engine import TRACE_CHANNELS
 from repro.sim.events import EventLog
-from repro.sim.trace import Trace
+from repro.sim.trace import PhaseSpan, Trace
 from repro.soc.throttling import MitigationState
+
+#: Standard normals drawn ahead per unit on the OS stream (one per awake
+#: step, plus steal resamples): ``units * 512 * 8`` bytes per cohort.
+OS_NORMAL_BLOCK = 512
+#: The same for the sensor stream, which draws once per poll.
+SENSOR_NORMAL_BLOCK = 64
+#: Starting per-unit row capacity of a cohort's trace store (doubles).
+TRACE_ROW_CAPACITY = 64
+
+
+class _NormalBank:
+    """Per-unit standard normals drawn ahead in blocks, replayed exactly.
+
+    Row ``i`` holds the next values of ``z`` from unit ``i``'s generator,
+    filled by ``standard_normal(block)`` — the same sequence, and the same
+    end state, as that many scalar draws.  :meth:`take_all` serves one
+    value per unit, :meth:`take` one per listed unit; a row is refilled
+    only when its unit has used it up.  :meth:`sync` rewinds each
+    generator to the start of its current block and redraws exactly the
+    values used, so ``bit_generator.state`` ends where scalar draws leave
+    it, and empties the bank so later takes start from there.
+    """
+
+    __slots__ = (
+        "_rngs", "_block", "_z", "_flat", "_base", "_cursor", "_cursor_hi",
+        "_saved", "_index",
+    )
+
+    def __init__(
+        self, generators: Sequence[np.random.Generator], block: int
+    ) -> None:
+        count = len(generators)
+        self._rngs = list(generators)
+        self._block = block
+        self._z = np.empty((count, block))
+        self._flat = self._z.reshape(-1)
+        self._base = np.arange(count, dtype=np.int64) * block
+        # Values used from each row; ``block`` means the row is spent.
+        self._cursor = np.full(count, block, dtype=np.int64)
+        # Upper bound on every cursor: each take adds at most one to any
+        # of them, so ``cursor_hi < block`` proves no row needs a refill.
+        self._cursor_hi = block
+        # Generator state at the start of each unit's current block.
+        self._saved: List[Optional[Dict]] = [None] * count
+        self._index = np.empty(count, dtype=np.int64)
+
+    def take_all(self) -> np.ndarray:
+        """One standard normal per unit, in unit order."""
+        if self._cursor_hi >= self._block:
+            self._refill(np.flatnonzero(self._cursor >= self._block))
+        cursor = self._cursor
+        z = self._flat.take(np.add(self._base, cursor, out=self._index))
+        cursor += 1
+        self._cursor_hi += 1
+        return z
+
+    def take(self, units: np.ndarray) -> np.ndarray:
+        """One standard normal for each of ``units`` (distinct indices)."""
+        cursor = self._cursor[units]
+        if self._cursor_hi >= self._block:
+            spent = units[cursor >= self._block]
+            if spent.size:
+                self._refill(spent)
+                cursor = self._cursor[units]
+        z = self._flat.take(self._base[units] + cursor)
+        self._cursor[units] = cursor + 1
+        self._cursor_hi += 1
+        return z
+
+    def sync(self) -> None:
+        """Leave every generator where scalar draws would have left it."""
+        block = self._block
+        for i, state in enumerate(self._saved):
+            if state is None:
+                continue
+            used = int(self._cursor[i])
+            if used < block:
+                rng = self._rngs[i]
+                rng.bit_generator.state = state
+                rng.standard_normal(used)
+            self._saved[i] = None
+        self._cursor.fill(block)
+        self._cursor_hi = block
+
+    def _refill(self, units: np.ndarray) -> None:
+        for i in units:
+            rng = self._rngs[i]
+            self._saved[i] = rng.bit_generator.state
+            rng.standard_normal(out=self._z[i])
+        self._cursor[units] = 0
+        self._cursor_hi = int(self._cursor.max())
+
+
+class _TraceStore:
+    """One cohort's decimated trace rows, phases, and lazily built traces.
+
+    Rows live in a ``(units, capacity, channels + 1)`` array (column 0 is
+    time) with a per-unit row count.  :meth:`record` writes one row for
+    each listed unit with one vectorized store; a row stamped with its
+    unit's previous time overwrites that row — last write wins, exactly as
+    :meth:`Trace.append` does.  Phase marks hold one start (and end) time
+    per unit.  Per-unit :class:`Trace` objects are built only by
+    :meth:`traces`, from copies of the rows, so they never pin the cohort
+    array.
+    """
+
+    __slots__ = ("_count", "_rows", "_size", "_last", "_closed", "_open", "_built")
+
+    def __init__(self, count: int) -> None:
+        self._count = count
+        self._rows = np.empty((count, TRACE_ROW_CAPACITY, len(TRACE_CHANNELS) + 1))
+        self.reset()
+
+    def reset(self) -> None:
+        """Forget every row and phase (the array's capacity is kept)."""
+        count = self._count
+        self._size = np.zeros(count, dtype=np.int64)
+        #: Each unit's latest stamp; ``-inf`` before its first row.
+        self._last = np.full(count, -np.inf)
+        self._closed: List[Tuple[str, np.ndarray, np.ndarray]] = []
+        self._open: Optional[Tuple[str, np.ndarray]] = None
+        self._built: Optional[List[Trace]] = None
+
+    def record(self, units: np.ndarray, block: np.ndarray) -> np.ndarray:
+        """Store ``block[j]`` (time first) as unit ``units[j]``'s next row.
+
+        Returns which rows were new rather than same-stamp overwrites.
+        """
+        times = block[:, 0]
+        last = self._last[units]
+        if (times < last).any():
+            raise ConfigurationError("samples must be appended in time order")
+        fresh = times > last
+        rows = self._size[units] + fresh - 1
+        needed = int(rows.max()) + 1
+        if needed > self._rows.shape[1]:
+            capacity = self._rows.shape[1]
+            while capacity < needed:
+                capacity *= 2
+            grown = np.empty((self._count, capacity, self._rows.shape[2]))
+            grown[:, : self._rows.shape[1]] = self._rows
+            self._rows = grown
+        self._rows[units, rows] = block
+        self._size[units] += fresh
+        self._last[units] = times
+        self._built = None
+        return fresh
+
+    def set_phase(self, name: Optional[str], now: np.ndarray) -> None:
+        """Close any open phase at ``now`` and open ``name`` (per unit)."""
+        if self._open is not None:
+            self._closed.append((*self._open, now))
+        self._open = (name, now) if name is not None else None
+        self._built = None
+
+    def traces(self) -> List[Trace]:
+        """Per-unit traces of everything recorded since :meth:`reset`."""
+        if self._built is None:
+            rows, size, opened = self._rows, self._size, self._open
+            self._built = [
+                Trace.from_samples(
+                    TRACE_CHANNELS,
+                    rows[i, : size[i]].copy(),
+                    phases=[
+                        PhaseSpan(name=name, start_s=start[i], end_s=end[i])
+                        for name, start, end in self._closed
+                    ],
+                    open_phase=(
+                        (opened[0], opened[1][i]) if opened is not None else None
+                    ),
+                )
+                for i in range(self._count)
+            ]
+        return self._built
 
 
 class _ClusterBatch:
@@ -267,13 +467,17 @@ class _CohortWorld:
         self._steal_interval = os_ref.steal_interval_s
         self._steal_frac = np.array([dev.os._steal_frac for dev in devices])
         self._steal_until = np.array([dev.os._steal_until_s for dev in devices])
-        self._os_rng = [dev.os.rng for dev in devices]
         # The serial OsBehavior draws nothing when its terms are disabled;
         # matching the gates keeps per-unit RNG streams aligned draw-for-draw.
         self._steal_enabled = os_ref.rng is not None and not (
             self._steal_sigma == 0 and self._steal_mean == 0
         )
         self._noise_enabled = self._bg_sigma > 0 and os_ref.rng is not None
+        self._os_normals = (
+            _NormalBank([dev.os.rng for dev in devices], OS_NORMAL_BLOCK)
+            if self._steal_enabled or self._noise_enabled
+            else None
+        )
 
         # Scalar poll-skip bounds.  ``_now_max`` is an upper bound on every
         # unit's device-local clock: each advance applied to any unit is
@@ -296,7 +500,11 @@ class _CohortWorld:
         self._sensor_quantum = sensor.quantization_c
         self._sensor_sigma = sensor.noise_sigma_c
         self._sensor_offset = sensor.offset_c
-        self._sensor_rng = [dev.sensor.rng for dev in devices]
+        self._sensor_normals = (
+            _NormalBank([dev.sensor.rng for dev in devices], SENSOR_NORMAL_BLOCK)
+            if self._sensor_sigma > 0 and sensor.rng is not None
+            else None
+        )
 
         self._awake_idle = spec.rails.awake_idle_w
         self._asleep_w = spec.rails.asleep_w
@@ -311,6 +519,10 @@ class _CohortWorld:
         self._energy_total = np.array(
             [dev.supply.energy_drawn_j for dev in devices]
         )
+        # Per-unit supply failure (see "Supply failures" above).
+        self._failed = np.zeros(count, dtype=bool)
+        self._any_failed = False
+        self._failures: List[Optional[BatteryError]] = [None] * count
         if self._battery_mode:
             # Vectorized battery bank: stacked SoC / last-load state with
             # the serial Battery.draw arithmetic replayed element-wise.
@@ -415,7 +627,6 @@ class _CohortWorld:
         else:
             self._room_ambient = room.astype(float).copy()
         self._noise_const = np.full(count, max(0.0, self._bg_power))
-        self._os_normal = [rng.normal if rng is not None else None for rng in self._os_rng]
 
         # -- batch-global benchmark-app state --------------------------------
         self._load_active = False
@@ -435,12 +646,11 @@ class _CohortWorld:
         self._apply_governors()
 
         # -- per-iteration world state (see begin_iteration) -----------------
-        self.traces: List[Trace] = []
+        self._trace_store = _TraceStore(count)
         self.event_logs: List[EventLog] = []
         self._clock_steps = np.zeros(count, dtype=np.int64)
         self._last_mit = np.zeros(count, dtype=np.int64)
         self._last_online = self._online_totals()
-        self._last_trace_stamp = np.full(count, -np.inf)
         self._prev_supply = np.zeros(count)
         self._ops_total = np.zeros(count)
         self._ff_windows = np.zeros(count, dtype=np.int64)
@@ -463,6 +673,16 @@ class _CohortWorld:
     def dt(self) -> float:
         """Engine step, seconds."""
         return self._dt
+
+    @property
+    def traces(self) -> List[Trace]:
+        """Per-unit iteration traces, built (as copies) on first read."""
+        return self._trace_store.traces()
+
+    @property
+    def failures(self) -> List[Optional[BatteryError]]:
+        """Per-unit supply failure, ``None`` for a unit still running."""
+        return list(self._failures)
 
     @property
     def ops_total(self) -> np.ndarray:
@@ -503,14 +723,13 @@ class _CohortWorld:
     def begin_iteration(self) -> None:
         """Reset per-iteration world state (the serial path's fresh World)."""
         count = self._count
-        self.traces = [Trace(TRACE_CHANNELS) for _ in range(count)]
+        self._trace_store.reset()
         self.event_logs = [EventLog() for _ in range(count)]
         self._clock_steps = np.zeros(count, dtype=np.int64)
         # Serial World.__init__ starts the event edge-detector at zero steps
         # but at the device's *actual* online count.
         self._last_mit = np.zeros(count, dtype=np.int64)
         self._last_online = self._online_totals()
-        self._last_trace_stamp = np.full(count, -np.inf)
         self._prev_supply = np.zeros(count)
         self._ops_total = np.zeros(count)
         self._ff_windows = np.zeros(count, dtype=np.int64)
@@ -573,14 +792,13 @@ class _CohortWorld:
 
     def set_phase(self, name: Optional[str]) -> None:
         """Annotate every unit's trace with a protocol phase from now on."""
-        dt = self._dt
-        for i in range(self._count):
-            now = self._clock_steps[i] * dt
-            if self._phase is not None:
-                self.traces[i].end_phase(now)
-            if name is not None:
-                self.traces[i].begin_phase(name, now)
-                self.event_logs[i].log(now, "phase", name=name)
+        if name is None and self._phase is None:
+            return
+        now = self._clock_steps * self._dt
+        self._trace_store.set_phase(name, now)
+        if name is not None:
+            for i in range(self._count):
+                self.event_logs[i].log(now[i], "phase", name=name)
         self._phase = name
 
     def close(self) -> None:
@@ -612,24 +830,27 @@ class _CohortWorld:
         per unit, the sensor is polled first (its noise draw included), then
         the still-cooling cohort fast-forwards one poll window as a single
         exact propagation.  Units that pass freeze in place until the whole
-        cohort is done.  Raises :class:`SimulationError` when any unit's
-        cooldown exceeds ``timeout_s``, matching the serial failure mode.
+        cohort is done; so do failed units, from the start, with elapsed 0.
+        Raises :class:`SimulationError` when any unit's cooldown exceeds
+        ``timeout_s``, matching the serial failure mode.
         """
         if poll_s < self._dt:
             raise SimulationError("check_every_s must be at least one clock step")
         if self._wakelock or self._load_active:
             raise SimulationError("cooldown requires suspended units")
+        targets_c = np.asarray(targets_c, dtype=float)
         dt = self._dt
         count = self._count
-        active = np.ones(count, dtype=bool)
+        active = ~self._failed
         started = self._clock_steps * dt
         elapsed = np.zeros(count)
         cohort = count
         while True:
-            for i in range(count):
-                if active[i] and self._read_sensor(i) <= targets_c[i]:
-                    elapsed[i] = self._clock_steps[i] * dt - started[i]
-                    active[i] = False
+            polled = np.flatnonzero(active)
+            cooled = polled[self._read_sensors(polled) <= targets_c[polled]]
+            if cooled.size:
+                elapsed[cooled] = self._clock_steps[cooled] * dt - started[cooled]
+                active[cooled] = False
             remaining = int(active.sum())
             if remaining == 0:
                 return elapsed
@@ -660,12 +881,17 @@ class _CohortWorld:
 
     def read_sensors(self) -> np.ndarray:
         """Poll every unit's CPU temperature sensor, one draw per unit."""
-        return np.array(
-            [self._read_sensor(i) for i in range(self._count)]
-        )
+        return self._read_sensors(None)
 
     def finalize(self) -> None:
-        """Write the batched state back into the per-unit Device objects."""
+        """Write the batched state back into the per-unit Device objects.
+
+        Also rewinds every unit's OS and sensor generator to where the
+        serial engine would have left it (see "RNG look-ahead" above).
+        """
+        for bank in (self._os_normals, self._sensor_normals):
+            if bank is not None:
+                bank.sync()
         for i, dev in enumerate(self.devices):
             for node in range(self._node_count):
                 dev.thermal.set_temperature_at(node, float(self._temps[i, node]))
@@ -734,14 +960,21 @@ class _CohortWorld:
     def _online_totals(self) -> np.ndarray:
         return self._online_big + self._other_cores
 
-    def _read_sensor(self, unit: int) -> float:
-        """One unit's CPU sensor read — the serial TemperatureSensor, inline."""
-        value = float(self._temps[unit, self._idx_cpu]) + self._sensor_offset
-        rng = self._sensor_rng[unit]
-        if self._sensor_sigma > 0 and rng is not None:
-            value += float(rng.normal(0.0, self._sensor_sigma))
+    def _read_sensors(self, units: Optional[np.ndarray]) -> np.ndarray:
+        """CPU sensor reads of ``units`` (``None``: all) — the serial
+        TemperatureSensor, vectorized; ``np.rint`` rounds half to even
+        exactly like Python's ``round``."""
+        bank = self._sensor_normals
+        if units is None:
+            value = self._temps[:, self._idx_cpu] + self._sensor_offset
+            if bank is not None:
+                value += self._sensor_sigma * bank.take_all()
+        else:
+            value = self._temps[units, self._idx_cpu] + self._sensor_offset
+            if bank is not None:
+                value += self._sensor_sigma * bank.take(units)
         if self._sensor_quantum > 0:
-            value = round(value / self._sensor_quantum) * self._sensor_quantum
+            value = np.rint(value / self._sensor_quantum) * self._sensor_quantum
         return value
 
     # -- battery bank -------------------------------------------------------
@@ -751,7 +984,8 @@ class _CohortWorld:
         xs = self._bat_curve_soc
         ys = self._bat_curve_v
         hi = np.searchsorted(xs, soc, side="left")
-        np.clip(hi, 1, xs.size - 1, out=hi)
+        np.maximum(hi, 1, out=hi)
+        np.minimum(hi, xs.size - 1, out=hi)
         lo = hi - 1
         frac = (soc - xs[lo]) / (xs[hi] - xs[lo])
         return ys[lo] + frac * (ys[hi] - ys[lo])
@@ -759,45 +993,67 @@ class _CohortWorld:
     def _battery_terminal_v(
         self, power: np.ndarray, soc: Optional[np.ndarray] = None
     ) -> np.ndarray:
-        """Vector mirror of ``Battery._terminal_voltage``."""
+        """Vector mirror of ``Battery._terminal_voltage``; NaN marks a load
+        the battery cannot deliver (where the serial battery raises)."""
         soc = self._bat_soc if soc is None else soc
         ocv = self._battery_ocv(soc)
         r = self._bat_resistance
         if r == 0.0:
             return ocv
-        volts = ocv.copy()
-        need = power != 0.0
-        if need.any():
-            open_v = ocv[need]
-            disc = open_v * open_v - 4.0 * power[need] * r
-            if (disc <= 0.0).any():
-                worst = float(np.asarray(power)[need].max())
-                raise SimulationError(
-                    f"load {worst} W exceeds what the battery can deliver"
-                )
-            volts[need] = 0.5 * (open_v + np.sqrt(disc))
+        disc = ocv * ocv - 4.0 * power * r
+        volts = 0.5 * (ocv + np.sqrt(np.maximum(disc, 0.0)))
+        volts[disc <= 0.0] = np.nan
+        idle = power == 0.0
+        if idle.any():
+            volts[idle] = ocv[idle]
         return volts
 
-    def _battery_draw_awake(self, supply: np.ndarray, dt: float) -> None:
-        """Every unit's ``Battery.draw`` for one awake step, vectorized."""
+    def _fail(self, units: np.ndarray, reason: str, load_w: np.ndarray) -> None:
+        """Mark ``units`` (a mask) failed with the serial battery's error."""
+        for i in np.flatnonzero(units & ~self._failed):
+            message = (
+                "battery is empty"
+                if reason == "battery_empty"
+                else f"load {float(load_w[i])} W exceeds what the battery can deliver"
+            )
+            self._failures[i] = BatteryError(reason, message)
+            self._failed[i] = True
+            self._any_failed = True
+
+    def _battery_draw_awake(self, supply: np.ndarray, dt: float) -> np.ndarray:
+        """Every unit's ``Battery.draw`` for one awake step, vectorized.
+
+        Returns the supply actually drawn: zero for failed units.
+        """
         soc = self._bat_soc
-        if (soc <= 0.0).any():
-            raise SimulationError("battery is empty")
-        self._battery_terminal_v(supply)  # deliverability check
+        empty = soc <= 0.0
+        if empty.any():
+            self._fail(empty, "battery_empty", supply)
+        overload = np.isnan(self._battery_terminal_v(supply))
+        if overload.any():
+            self._fail(overload, "battery_overload", supply)
+        if self._any_failed:
+            supply = np.where(self._failed, 0.0, supply)
         self._bat_last_load = supply.copy()
         self._energy_total += supply * dt
         np.maximum(
             0.0, soc - supply * dt / self._bat_capacity, out=self._bat_soc
         )
+        return supply
 
     def _battery_draw_masked(
         self, active: np.ndarray, power_w: float, duration: float
     ) -> None:
         """The active cohort's ``Battery.draw`` for one sleeping macro window."""
+        load = np.full(self._count, power_w)
+        empty = active & (self._bat_soc <= 0.0)
+        if empty.any():
+            self._fail(empty, "battery_empty", load)
+        overload = active & np.isnan(self._battery_terminal_v(load))
+        if overload.any():
+            self._fail(overload, "battery_overload", load)
+        active = active & ~self._failed
         soc = self._bat_soc[active]
-        if (soc <= 0.0).any():
-            raise SimulationError("battery is empty")
-        self._battery_terminal_v(np.full(soc.size, power_w), soc)
         self._bat_last_load[active] = power_w
         self._energy_total[active] += power_w * duration
         self._bat_soc[active] = np.maximum(
@@ -920,10 +1176,11 @@ class _CohortWorld:
             if self._battery_mode and self._vt_threshold is not None:
                 # Serial Device.step consults the supply's terminal voltage
                 # (last step's load, current SoC) before Soc.step each step.
-                self._capped = (
-                    self._battery_terminal_v(self._bat_last_load)
-                    <= self._vt_threshold
-                )
+                volts = self._battery_terminal_v(self._bat_last_load)
+                overload = np.isnan(volts)
+                if overload.any():
+                    self._fail(overload, "battery_overload", self._bat_last_load)
+                self._capped = volts <= self._vt_threshold
             capped = self._capped
             mem_beta = self._mem_beta
             cluster_cache = []
@@ -1006,25 +1263,23 @@ class _CohortWorld:
         # the serial order, from each unit's own stream.
         if self._steal_enabled:
             if now_max >= self._steal_next_min:
-                due = now >= self._steal_until
-                if due.any():
-                    for i in np.flatnonzero(due):
-                        sampled = float(
-                            self._os_rng[i].normal(
-                                self._steal_mean, self._steal_sigma
-                            )
-                        )
-                        self._steal_frac[i] = min(max(sampled, 0.0), self._steal_max)
-                        self._steal_until[i] = now[i] + self._steal_interval
+                due = np.flatnonzero(now >= self._steal_until)
+                if due.size:
+                    sampled = self._steal_mean + self._steal_sigma * (
+                        self._os_normals.take(due)
+                    )
+                    self._steal_frac[due] = np.minimum(
+                        np.maximum(sampled, 0.0), self._steal_max
+                    )
+                    self._steal_until[due] = now[due] + self._steal_interval
                 self._steal_next_min = float(self._steal_until.min())
             ops *= 1.0 - self._steal_frac
         if self._noise_enabled:
-            noise = self._scr_noise
-            bg_power = self._bg_power
-            bg_sigma = self._bg_sigma
-            draws = self._os_normal
-            for i in range(count):
-                noise[i] = bg_power + draws[i](0.0, bg_sigma)
+            # ``bg + normal(0, sigma)`` is ``bg + (0.0 + sigma * z)``.
+            noise = np.multiply(
+                self._os_normals.take_all(), self._bg_sigma, out=self._scr_noise
+            )
+            noise += self._bg_power
             np.maximum(noise, 0.0, out=noise)
         else:
             noise = self._noise_const
@@ -1033,7 +1288,7 @@ class _CohortWorld:
         load = soc_power + self._awake_idle + noise
         supply = load / self._efficiency
         if self._battery_mode:
-            self._battery_draw_awake(supply, dt)
+            supply = self._battery_draw_awake(supply, dt)
         else:
             current = supply / self._voltage
             self._elapsed += dt
@@ -1046,6 +1301,8 @@ class _CohortWorld:
         power[:, self._idx_cpu] = soc_power
         power[:, self._idx_case] = 0.0
         power[:, self._idx_pkg] = supply - soc_power
+        if self._any_failed:
+            power[self._failed] = 0.0
         self._propagator.advance_batch(temps, power, dt)
         self._now_dev = now + dt
         self._now_max = now_max + dt
@@ -1112,6 +1369,8 @@ class _CohortWorld:
         sub = temps[active]
         power = np.zeros_like(sub)
         power[:, self._idx_pkg] = supply
+        if self._any_failed:
+            power[self._failed[active]] = 0.0
         self._propagator.advance_batch(sub, power, duration)
         temps[active] = sub
         self._now_dev[active] += duration
@@ -1168,31 +1427,27 @@ class _CohortWorld:
         asleep: float,
     ) -> None:
         temps = self._temps
-        data = np.empty((units.size, 9))
-        data[:, 0] = temps[units, self._idx_cpu]
-        data[:, 1] = temps[units, self._idx_case]
-        data[:, 2] = ambient[units]
-        data[:, 3] = supply[units]
-        data[:, 4] = soc_power[units]
-        data[:, 5] = self._clusters[0].freq[units]
-        data[:, 6] = self._online_totals()[units]
-        data[:, 7] = self._stw_steps[units]
-        data[:, 8] = asleep
-        times = clock_now[units]
+        block = np.empty((units.size, len(TRACE_CHANNELS) + 1))
+        block[:, 0] = clock_now[units]
+        block[:, 1] = temps[units, self._idx_cpu]
+        block[:, 2] = temps[units, self._idx_case]
+        block[:, 3] = ambient[units]
+        block[:, 4] = supply[units]
+        block[:, 5] = soc_power[units]
+        block[:, 6] = self._clusters[0].freq[units]
+        block[:, 7] = self._online_totals()[units]
+        block[:, 8] = self._stw_steps[units]
+        block[:, 9] = asleep
+        fresh = self._trace_store.record(units, block)
         if self._invariants is not None:
             # Same-stamp re-records overwrite the previous row (see
             # Trace.append), so only strictly advancing stamps reach the
             # monotone-time checker — mirroring what the serial checker
             # sees, where an overwrite never grows the trace.
-            fresh = times > self._last_trace_stamp[units]
             if fresh.all():
-                self._invariants.observe_trace(units, times)
+                self._invariants.observe_trace(units, block[:, 0])
             elif fresh.any():
-                self._invariants.observe_trace(units[fresh], times[fresh])
-        self._last_trace_stamp[units] = times
-        traces = self.traces
-        for j, i in enumerate(units):
-            traces[i].append(times[j], data[j])
+                self._invariants.observe_trace(units[fresh], block[fresh, 0])
 
 
 class _ChamberView:
@@ -1390,6 +1645,16 @@ class BatchedWorld:
     def event_logs(self) -> List[EventLog]:
         """Per-unit iteration event logs, fleet order."""
         return self._gather_list(lambda w: w.event_logs)
+
+    @property
+    def failures(self) -> List[Optional[BatteryError]]:
+        """Per-unit supply failure, fleet order; ``None`` for a running unit.
+
+        A failed unit stops drawing and dissipating and its later results
+        mean nothing; no other unit's results depend on it.  Whether that
+        is a dropped user or an aborted campaign is the caller's call.
+        """
+        return self._gather_list(lambda w: w.failures)
 
     @property
     def cohort_splits(self) -> int:

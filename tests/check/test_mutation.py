@@ -2,8 +2,9 @@
 
 Monkeypatches a small systematic bias into the exact propagator and
 asserts the euler-vs-expm differential pairing reports the divergence.
-A second mutant biases the *batched* engine's power path and asserts the
-serial-vs-batched pairing catches it.  Runs serial (jobs=1) on both
+A second mutant biases the *batched* engine's power path, and a third
+skips one of its block-drawn RNG values; the serial-vs-batched pairing
+must catch both.  Runs serial (jobs=1) on both
 sides — a monkeypatch does not cross process-pool boundaries.
 
 The scenario pairings that gate the lifted batch-eligibility
@@ -31,7 +32,7 @@ from repro.check.invariants import BatchedInvariantSuite
 from repro.core.experiments import unconstrained
 from repro.core.runner import CampaignRunner
 from repro.errors import InvariantViolation
-from repro.sim.batch import _ClusterBatch, _CohortWorld
+from repro.sim.batch import _ClusterBatch, _CohortWorld, _NormalBank
 from repro.thermal.propagator import ExpmPropagator
 
 MODEL = "Nexus 5"
@@ -96,6 +97,27 @@ class TestMutationDetection:
             "mean_freq_mhz",
             "time_throttled_s",
         }
+
+    def test_skipped_bank_draw_is_flagged(self, monkeypatch):
+        # Skip one block-drawn normal on every unit's OS stream: every
+        # later background-noise sample shifts by one draw, and the
+        # serial-vs-batched pairing must see it in the power family.
+        original = _NormalBank.take_all
+        skipped = []
+
+        def skipping(self):
+            if not skipped:
+                skipped.append(original(self))
+            return original(self)
+
+        monkeypatch.setattr(_NormalBank, "take_all", skipping)
+        report = run_pairing(batch_pairing(tiny_base()), [MODEL], iterations=1)
+        assert skipped, "the mutant never ran"
+        assert not report.passed, (
+            "the differential harness failed to flag a skipped RNG draw"
+        )
+        fields = {d.field for d in report.divergences}
+        assert fields & {"energy_j", "mean_power_w", "max_cpu_temp_c"}
 
     def test_unmutated_batch_pairing_passes(self):
         report = run_pairing(batch_pairing(tiny_base()), [MODEL], iterations=1)

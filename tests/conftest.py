@@ -7,6 +7,8 @@ the benchmark suite, not here.
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.core.config import AccubenchConfig
@@ -57,3 +59,29 @@ def nexus5_bin3():
     device = build_device(PAPER_FLEETS["Nexus 5"][3])
     device.connect_supply(MonsoonPowerMonitor(device.spec.battery.nominal_v))
     return device
+
+
+@pytest.fixture
+def durable_write_calls(monkeypatch):
+    """Record ``os.fsync`` and ``os.replace`` calls, in order.
+
+    Each entry is ``(name, (inode, bytes on disk))`` of the file synced
+    or renamed.  A synced entry equal to the renamed one shows the file
+    that was renamed had been flushed and fsynced first.
+    """
+    calls = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        info = os.fstat(fd)
+        calls.append(("fsync", (info.st_ino, info.st_size)))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        info = os.stat(src)
+        calls.append(("replace", (info.st_ino, info.st_size)))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    return calls

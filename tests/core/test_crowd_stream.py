@@ -26,14 +26,17 @@ from repro.core.crowd import (
     plan_users,
     prepare_field_device,
     run_crowd_study,
+    run_crowd_user,
 )
 from repro.core.crowd_stream import (
     CrowdEstimators,
     execute_cohort,
     load_checkpoint,
     run_streaming_crowd_study,
+    write_checkpoint,
 )
-from repro.errors import ConfigurationError
+from repro.core.protocol import Accubench
+from repro.errors import BatteryError, ConfigurationError
 from repro.sim.batch import BatchedWorld
 from repro.sim.engine import World
 from repro.thermal.ambient import ConstantAmbient
@@ -150,6 +153,170 @@ class TestCheckpointResume:
             run_streaming_crowd_study(other, cohort_size=3, checkpoint_path=path)
         with pytest.raises(ConfigurationError):
             load_checkpoint(path, "not-the-fingerprint")
+
+
+class TestCheckpointFiles:
+    FINGERPRINT = "f" * 64
+
+    def test_truncated_checkpoint_names_the_path(self, micro_config, tmp_path):
+        path = str(tmp_path / "crowd.ckpt")
+        run_streaming_crowd_study(
+            micro_config, cohort_size=3, checkpoint_path=path,
+            stop_after_cohorts=1,
+        )
+        with open(path) as fp:
+            text = fp.read()
+        with open(path, "w") as fp:
+            fp.write(text[: len(text) // 2])
+        with pytest.raises(ConfigurationError, match="truncated or not JSON") as info:
+            load_checkpoint(path, self.FINGERPRINT)
+        assert path in str(info.value)
+        # Resuming from it surfaces the same error rather than a
+        # raw JSONDecodeError.
+        with pytest.raises(ConfigurationError, match="truncated or not JSON"):
+            run_streaming_crowd_study(
+                micro_config, cohort_size=3, checkpoint_path=path
+            )
+
+    @pytest.mark.parametrize("document", [[1, 2, 3], "text", 42, None])
+    def test_non_object_checkpoint_names_the_path(self, tmp_path, document):
+        path = str(tmp_path / "crowd.ckpt")
+        with open(path, "w") as fp:
+            json.dump(document, fp)
+        with pytest.raises(ConfigurationError, match="not a checkpoint object") as info:
+            load_checkpoint(path, self.FINGERPRINT)
+        assert path in str(info.value)
+
+    def test_write_fsyncs_the_flushed_file_before_renaming(
+        self, tmp_path, durable_write_calls
+    ):
+        path = str(tmp_path / "crowd.ckpt")
+        write_checkpoint(
+            path, self.FINGERPRINT, 1, CrowdEstimators(root_seed=1), {"cursor": 0}
+        )
+        calls = durable_write_calls
+        assert [name for name, _ in calls] == ["fsync", "replace"]
+        (_, synced), (_, renamed) = calls
+        assert synced == renamed  # the fsynced file is the one renamed
+        assert load_checkpoint(path, self.FINGERPRINT)["cohorts_done"] == 1
+
+
+class TestBatteryOverloadDrop:
+    """A unit whose battery cannot deliver its load is a drop, not an abort.
+
+    At seed 403 the 228th Nexus 5 user (a leak factor near the 3-sigma
+    clamp in a ~35 °C room) runs away thermally in the benchmark pass
+    until its load exceeds what its 77%-charged battery can deliver.
+    """
+
+    @pytest.fixture(scope="class")
+    def config(self):
+        return CrowdConfig(
+            model="Nexus 5",
+            user_count=228,
+            protocol=replace(CrowdConfig().protocol, thermal_solver="expm"),
+            root_seed=403,
+        )
+
+    def test_streamed_campaign_completes_with_the_drop(self, config):
+        result = run_streaming_crowd_study(config, cohort_size=256)
+        assert result.complete
+        assert result.dropped == {"battery_overload": 1}
+        assert result.users_simulated == 228
+        assert result.submission_count == 227
+
+    def test_serial_and_streamed_agree_per_user(self, config):
+        # The serial pipeline over the last few users (the failing one
+        # included) against one streamed cohort of the same users.
+        users = plan_users(config, crowd_param_stream(config), 0, 228)[-5:]
+        bench = Accubench(config.protocol)
+        devices = crowd_fleet(config, start=users[0].index, count=len(users))
+        serial = [
+            run_crowd_user(config, bench, device, user)
+            for device, user in zip(devices, users)
+        ]
+        streamed = execute_cohort(config, 0, users).outcomes
+        serial_drops = [o for o in serial if isinstance(o, str)]
+        streamed_drops = [o.drop_reason for o in streamed if o.drop_reason]
+        assert serial_drops == streamed_drops == ["battery_overload"]
+        for expected, outcome in zip(serial, streamed):
+            if isinstance(expected, str):
+                assert outcome.drop_reason == expected
+                assert outcome.submission is None
+                continue
+            got = outcome.submission
+            assert got.score == pytest.approx(expected.score, rel=1e-9)
+            assert got.energy_j == pytest.approx(expected.energy_j, rel=1e-9)
+            assert (
+                got.ambient_estimate.ambient_c
+                == pytest.approx(expected.ambient_estimate.ambient_c, rel=1e-9)
+            )
+
+    def test_failed_unit_leaves_the_others_untouched(self, config):
+        # The failing user under sustained load beside two neighbours:
+        # the neighbours must run exactly as they do without it.
+        users = plan_users(config, crowd_param_stream(config), 0, 228)[-3:]
+        protocol = config.protocol
+
+        def loaded_world(chosen):
+            devices = crowd_fleet(config, start=users[0].index, count=3)
+            for device, user in zip(devices, users):
+                prepare_field_device(device, user)
+            world = BatchedWorld(
+                [devices[i] for i in chosen],
+                room_temp_c=np.array([users[i].ambient_c for i in chosen]),
+                dt=protocol.dt,
+                trace_decimation=protocol.trace_decimation,
+            )
+            world.acquire_wakelock()
+            world.start_load()
+            world.set_phase("load")
+            world.run_for(600.0)  # it overloads after ~560 s at full load
+            world.close()
+            return world
+
+        with_failing = loaded_world([0, 1, 2])
+        without = loaded_world([0, 1])
+        failures = with_failing.failures
+        assert failures[:2] == [None, None]
+        assert isinstance(failures[2], BatteryError)
+        assert failures[2].reason == "battery_overload"
+        assert "exceeds what the battery can deliver" in str(failures[2])
+        assert without.failures == [None, None]
+        np.testing.assert_allclose(
+            with_failing.energy_drawn_j[:2], without.energy_drawn_j, rtol=1e-12
+        )
+        np.testing.assert_allclose(
+            with_failing.ops_total[:2], without.ops_total, rtol=1e-12
+        )
+        for i in range(2):
+            a, b = with_failing.traces[i], without.traces[i]
+            np.testing.assert_array_equal(a.times(), b.times())
+            np.testing.assert_allclose(a.samples(), b.samples(), atol=2e-9)
+        # The failed unit stops drawing from its battery.
+        trace = with_failing.traces[2]
+        assert trace.column("power")[-1] == 0.0
+
+    def test_fleet_path_still_raises(self, monkeypatch, fast_campaign):
+        # A fleet campaign has no drops: a failed unit aborts run_batch.
+        from repro.core.batch_runner import run_batch
+        from repro.core.experiments import unconstrained
+        from repro.device.fleet import synthetic_fleet
+
+        failure = BatteryError("battery_overload", "load 99.0 W exceeds ...")
+        monkeypatch.setattr(
+            BatchedWorld, "failures", property(lambda w: [None, failure])
+        )
+        campaign = replace(
+            fast_campaign,
+            accubench=replace(
+                fast_campaign.accubench, thermal_solver="expm", iterations=1
+            ),
+        )
+        fleet = synthetic_fleet("Nexus 5", 2, thermal_solver="expm")
+        with pytest.raises(BatteryError) as info:
+            run_batch(fleet, unconstrained(), campaign)
+        assert info.value is failure
 
 
 class TestMixedModelResume:

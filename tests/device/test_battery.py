@@ -3,7 +3,7 @@
 import pytest
 
 from repro.device.battery import Battery, BatterySpec
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import BatteryError, ConfigurationError, SimulationError
 
 
 @pytest.fixture
@@ -72,14 +72,16 @@ class TestBattery:
 
     def test_depleted_battery_refuses(self, spec):
         battery = Battery(spec, state_of_charge=0.001)
-        with pytest.raises(SimulationError):
+        with pytest.raises(BatteryError) as info:
             for _ in range(10000):
                 battery.draw(10.0, 10.0)
+        assert info.value.reason == "battery_empty"
 
     def test_overload_rejected(self, spec):
         battery = Battery(spec)
-        with pytest.raises(SimulationError):
+        with pytest.raises(BatteryError) as info:
             battery.draw(1e6, 0.1)
+        assert info.value.reason == "battery_overload"
 
     def test_negative_power_rejected(self, spec):
         with pytest.raises(SimulationError):

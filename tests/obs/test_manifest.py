@@ -108,6 +108,17 @@ class TestRoundTrip:
             write_manifest({"format": "bogus"}, tmp_path / "m.json")
         assert not (tmp_path / "m.json").exists()
 
+    def test_write_fsyncs_the_flushed_file_before_renaming(
+        self, tmp_path, durable_write_calls
+    ):
+        manifest = sample_manifest()
+        write_manifest(manifest, tmp_path / "m.json")
+        calls = durable_write_calls
+        assert [name for name, _ in calls] == ["fsync", "replace"]
+        (_, synced), (_, renamed) = calls
+        assert synced == renamed  # the fsynced file is the one renamed
+        assert read_manifest(tmp_path / "m.json") == manifest
+
     def test_read_rejects_corrupt_file(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text("{nope")

@@ -10,15 +10,16 @@ import numpy as np
 import pytest
 
 from repro.device.fleet import synthetic_fleet
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.instruments.monsoon import MonsoonPowerMonitor
 from repro.instruments.thermabox import (
     BatchedThermabox,
     Thermabox,
     ThermaboxConfig,
 )
-from repro.sim.batch import BatchedWorld
-from repro.sim.engine import World
+from repro.sim.batch import TRACE_ROW_CAPACITY, BatchedWorld, _TraceStore
+from repro.sim.engine import TRACE_CHANNELS, World
+from repro.sim.trace import PhaseSpan, Trace
 from repro.thermal.ambient import ConstantAmbient
 
 AMBIENT = 26.0
@@ -197,6 +198,125 @@ class TestBatchedMatchesSerial:
                 (e.time_s, e.kind, e.detail) for e in batched.event_logs[i]
             ]
             assert events_s == events_b
+
+
+class TestRngContinuation:
+    """The batched engine draws normals ahead in blocks; ``finalize``
+    must leave every generator exactly where the serial engine does."""
+
+    @pytest.mark.parametrize("use_box", [False, True])
+    def test_generator_states_match_serial_after_finalize(self, use_box):
+        serial_devices = build_fleet(3)
+        batch_devices = build_fleet(3)
+        run_serial(serial_devices, use_box)
+        run_batched(batch_devices, use_box)
+        for ds, db in zip(serial_devices, batch_devices):
+            assert db.os.rng.bit_generator.state == ds.os.rng.bit_generator.state
+            assert (
+                db.sensor.rng.bit_generator.state
+                == ds.sensor.rng.bit_generator.state
+            )
+
+    def test_serial_continuation_after_batched_run_agrees(self):
+        # After finalize, a serial World picks up both fleets identically.
+        serial_devices = build_fleet(2)
+        batch_devices = build_fleet(2)
+        run_serial(serial_devices, use_box=False)
+        run_batched(batch_devices, use_box=False)
+        for ds, db in zip(serial_devices, batch_devices):
+            traces, reads = [], []
+            for device in (ds, db):
+                world = World(
+                    device, room=ConstantAmbient(AMBIENT), dt=DT,
+                    trace_decimation=DECIM,
+                )
+                device.acquire_wakelock()
+                device.start_load()
+                world.run_for(5.0)  # one OS draw per step
+                traces.append(world.trace)
+                reads.append([device.read_cpu_temp() for _ in range(5)])
+            np.testing.assert_allclose(
+                traces[0].column("power"), traces[1].column("power"),
+                rtol=0, atol=TRACE_ATOL,
+            )
+            assert reads[0] == pytest.approx(reads[1], abs=1e-9)
+
+
+class TestLazyTraces:
+    def test_unread_traces_build_no_trace_objects(self, monkeypatch):
+        built = []
+        original = Trace.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Trace, "__init__", counting)
+        world, _ = run_batched(build_fleet(3), use_box=False)
+        assert built == []
+        traces = world.traces
+        assert len(built) == 3
+        # Read again: the same objects, nothing rebuilt.
+        assert all(a is b for a, b in zip(world.traces, traces))
+        assert len(built) == 3
+
+    def test_built_traces_are_copies_with_phases(self):
+        world, _ = run_batched(build_fleet(2), use_box=False)
+        trace = world.traces[0]
+        assert [span.name for span in trace.phases] == [
+            "warmup", "cooldown", "workload",
+        ]
+        assert trace.open_phase is None
+        for earlier, later in zip(trace.phases, trace.phases[1:]):
+            assert earlier.end_s == later.start_s
+        # Copies: the cohort's row store is not pinned by the trace.
+        store = world._cohorts[0][1]._trace_store
+        assert not np.shares_memory(trace.samples(), store._rows)
+
+    def test_same_stamp_row_overwrites_last_write_wins(self):
+        store = _TraceStore(3)
+        width = len(TRACE_CHANNELS) + 1
+
+        def rows(times, fill):
+            block = np.full((len(times), width), float(fill))
+            block[:, 0] = times
+            return block
+
+        all_units = np.arange(3)
+        assert store.record(all_units, rows([0.0, 0.0, 0.0], 1)).all()
+        store.set_phase("a", np.array([0.0, 0.0, 0.0]))
+        # Unit 1 re-records at its previous stamp: an overwrite, not a row.
+        fresh = store.record(np.array([0, 1]), rows([1.0, 0.0], 2))
+        assert fresh.tolist() == [True, False]
+        store.record(all_units, rows([2.0, 1.0, 1.0], 3))
+        store.set_phase(None, np.array([2.0, 1.0, 1.0]))
+        traces = store.traces()
+        reference = [Trace(TRACE_CHANNELS) for _ in range(3)]
+        for unit, time_s, fill in (
+            (0, 0.0, 1), (1, 0.0, 1), (2, 0.0, 1),
+            (0, 1.0, 2), (1, 0.0, 2),
+            (0, 2.0, 3), (1, 1.0, 3), (2, 1.0, 3),
+        ):
+            reference[unit].append(time_s, [float(fill)] * (width - 1))
+        for got, want, end in zip(traces, reference, (2.0, 1.0, 1.0)):
+            np.testing.assert_array_equal(got.samples(), want.samples())
+            assert got.phases == (PhaseSpan("a", 0.0, end),)
+        assert len(traces[1]) == 2 and traces[1].column("cpu_temp")[0] == 2.0
+        with pytest.raises(ConfigurationError):
+            store.record(np.array([0]), rows([1.5], 4))
+
+    def test_row_store_grows_past_its_initial_capacity(self):
+        store = _TraceStore(2)
+        width = len(TRACE_CHANNELS) + 1
+        for k in range(3 * TRACE_ROW_CAPACITY):
+            block = np.full((2, width), float(k))
+            block[:, 0] = k
+            store.record(np.arange(2), block)
+        for trace in store.traces():
+            assert len(trace) == 3 * TRACE_ROW_CAPACITY
+            np.testing.assert_array_equal(
+                trace.times(), np.arange(3 * TRACE_ROW_CAPACITY)
+            )
 
 
 class TestBatchedValidation:

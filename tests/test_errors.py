@@ -16,10 +16,17 @@ class TestHierarchy:
             errors.ProtocolError,
             errors.AnalysisError,
             errors.UnknownModelError,
+            errors.BatteryError,
         ],
     )
     def test_all_derive_from_repro_error(self, exc):
         assert issubclass(exc, errors.ReproError)
+
+    def test_battery_error_is_simulation_error_with_reason(self):
+        err = errors.BatteryError("battery_overload", "load 33 W exceeds ...")
+        assert isinstance(err, errors.SimulationError)
+        assert err.reason == "battery_overload"
+        assert str(err) == "load 33 W exceeds ..."
 
     def test_unknown_model_is_configuration_error(self):
         assert issubclass(errors.UnknownModelError, errors.ConfigurationError)
